@@ -24,8 +24,12 @@
 ///
 /// With --metrics, a Prometheus text endpoint (GET /metrics) is served on
 /// the given port (0 picks an ephemeral one; the bound port is printed).
-/// With --threads > 1, linkage runs stream candidate shards through a
-/// shared work-stealing scheduler; results are identical to serial runs.
+/// Linkage runs always stream candidate shards through a work-stealing
+/// scheduler: with --threads > 1 one shared scheduler of that many
+/// workers (and the printed shard window) serves every session, and
+/// connected-components clustering runs in parallel too; --threads 1 (the
+/// default) gives each run a one-worker scheduler. Results are identical
+/// at any thread count.
 ///
 /// Robustness knobs: --io-timeout-ms bounds every socket read/write;
 /// --max-sessions caps concurrent connections (excess is shed with a BUSY

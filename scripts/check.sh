@@ -19,35 +19,11 @@ export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 echo "check.sh: all tests passed under ASan+UBSan"
 
-# ThreadSanitizer gate for the concurrent paths: the parallel comparison
-# engine, the batch kernels it chunks across the scheduler, the
-# work-stealing scheduler itself, the streaming parallel pipeline, and
-# the lock-free metrics registry they all report into. Scoped to those
-# tests — TSan slows everything ~10x and the rest of the suite is
-# single-threaded.
-TSAN_BUILD_DIR=build-tsan
-cmake -B "${TSAN_BUILD_DIR}" -S . \
-  -DCMAKE_BUILD_TYPE=Debug \
-  -DPPRL_SANITIZE=thread
-cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" \
-  --target comparison_test compare_kernels_test thread_pool_test \
-           parallel_pipeline_test metrics_test online_linkage_test \
-           wal_test recovery_test
-
-export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
-ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R '^(comparison_test|compare_kernels_test|thread_pool_test|parallel_pipeline_test|metrics_test|online_linkage_test|wal_test|recovery_test)$'
-echo "check.sh: concurrency tests passed under TSan"
-
-# Chaos gate: the fault-tolerant linkage service under TSan. Seeded fault
-# injection forces connection loss, resumes and shedding across the
-# daemon's accept/session/sweeper threads — exactly the interleavings
-# TSan exists to check. Budgeted at 60 s so a deadlock in the resume or
-# quorum path fails the gate instead of hanging it.
-cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" --target service_chaos_test
-ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure --timeout 60 \
-  -R '^service_chaos_test$'
-echo "check.sh: chaos suite passed under TSan"
+# ThreadSanitizer gate: the concurrency tests (the batch compare path,
+# the scheduler, the online engine, the metrics registry) and the chaos
+# suite, built with PPRL_SANITIZE=thread. scripts/check_tsan.sh holds the
+# one test list; CI's `tsan` job runs the same script.
+scripts/check_tsan.sh
 
 # Scaling gate: the streaming parallel path must actually scale, and the
 # gate prints the measured numbers so a failure is diagnosable from the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace pprl {
@@ -26,9 +25,6 @@ struct CompareMetrics {
   obs::Counter& kernel_calls = obs::GlobalMetrics().GetCounter(
       "pprl_compare_calls_total", "Compare*() dispatches by execution path",
       {{"path", "kernel"}});
-  obs::Counter& scalar_parallel_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "scalar-parallel"}});
   obs::Counter& kernel_parallel_calls = obs::GlobalMetrics().GetCounter(
       "pprl_compare_calls_total", "Compare*() dispatches by execution path",
       {{"path", "kernel-parallel"}});
@@ -79,9 +75,12 @@ std::vector<KernelPair> TiledPairs(const std::vector<CandidatePair>& candidates)
   return pairs;
 }
 
-/// Maps slot-sorted hits back to ScoredPairs in the caller's order.
-std::vector<ScoredPair> EmitSlotSorted(const std::vector<SlottedScore>& hits,
-                                       const std::vector<CandidatePair>& candidates) {
+/// Restores candidate order: hits arrive in kernel execution order, each
+/// slot at most once, so sorting by slot recovers the caller's order.
+std::vector<ScoredPair> EmitInCandidateOrder(std::vector<SlottedScore> hits,
+                                             const std::vector<CandidatePair>& candidates) {
+  std::sort(hits.begin(), hits.end(),
+            [](const SlottedScore& x, const SlottedScore& y) { return x.slot < y.slot; });
   std::vector<ScoredPair> out;
   out.reserve(hits.size());
   for (const SlottedScore& hit : hits) {
@@ -89,15 +88,6 @@ std::vector<ScoredPair> EmitSlotSorted(const std::vector<SlottedScore>& hits,
     out.push_back({pair.a, pair.b, hit.score});
   }
   return out;
-}
-
-/// Restores candidate order: hits arrive in kernel execution order, each
-/// slot at most once, so sorting by slot recovers the caller's order.
-std::vector<ScoredPair> EmitInCandidateOrder(std::vector<SlottedScore> hits,
-                                             const std::vector<CandidatePair>& candidates) {
-  std::sort(hits.begin(), hits.end(),
-            [](const SlottedScore& x, const SlottedScore& y) { return x.slot < y.slot; });
-  return EmitSlotSorted(hits, candidates);
 }
 
 }  // namespace
@@ -153,154 +143,10 @@ std::vector<ScoredPair> ComparisonEngine::CompareMatrices(
   return out;
 }
 
-namespace {
-
-/// Chunking for the parallel paths. Shards must be big enough that a
-/// dispatch (one scheduler hop, one buffer move) amortizes over the word
-/// loop, and numerous enough that stealing can balance uneven pruning;
-/// `threads * 8` chunks with a floor of kMinChunkPairs satisfies both.
-constexpr size_t kMinChunkPairs = 8192;
-
-size_t ChunkSizeFor(size_t n, size_t num_threads) {
-  const size_t target_chunks = std::max<size_t>(1, num_threads * 8);
-  return std::max(kMinChunkPairs, (n + target_chunks - 1) / target_chunks);
-}
-
-/// Concatenates per-chunk buffers in chunk order (chunks cover ascending
-/// ranges, so this is deterministic no matter which worker ran what).
-template <typename T>
-std::vector<T> MergeChunks(std::vector<std::vector<T>>& buffers) {
-  size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& buffer : buffers) {
-    out.insert(out.end(), buffer.begin(), buffer.end());
-    buffer = {};
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<ScoredPair> ComparisonEngine::CompareParallel(
-    const std::vector<BitVector>& a_filters, const std::vector<BitVector>& b_filters,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    size_t num_threads) const {
-  WorkStealingScheduler scheduler(num_threads);
-  return CompareParallel(a_filters, b_filters, candidates, min_score, scheduler);
-}
-
-std::vector<ScoredPair> ComparisonEngine::CompareParallel(
-    const std::vector<BitVector>& a_filters, const std::vector<BitVector>& b_filters,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    WorkStealingScheduler& scheduler) const {
-  if (measure_.has_value()) {
-    return CompareMatricesParallel(BitMatrix::FromVectors(a_filters),
-                                   BitMatrix::FromVectors(b_filters), candidates,
-                                   min_score, scheduler);
-  }
-  // Fallback path: chunk results accumulate in a worker-local vector (one
-  // reserve, no reallocation churn) and land in the shared per-chunk slot
-  // with a single move, so workers never write interleaved cache lines.
-  const size_t n = candidates.size();
-  const size_t chunk = ChunkSizeFor(n, scheduler.num_threads());
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  TaskGroup group(scheduler);
-  std::vector<std::vector<SlottedScore>> buffers(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([this, &candidates, &a_filters, &b_filters, &buffers, c, begin,
-                      end, min_score] {
-      std::vector<SlottedScore> hits;
-      hits.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        const CandidatePair& pair = candidates[i];
-        const double score = similarity_(a_filters[pair.a], b_filters[pair.b]);
-        if (score >= min_score) hits.push_back({static_cast<uint32_t>(i), score});
-      }
-      buffers[c] = std::move(hits);
-    });
-  }
-  group.Wait();
-  last_comparisons_.store(n, std::memory_order_relaxed);
-  last_pruned_.store(0, std::memory_order_relaxed);
-  Metrics().scalar_parallel_calls.Increment();
-  Metrics().pairs.Increment(n);
-  return EmitInCandidateOrder(MergeChunks(buffers), candidates);
-}
-
-std::vector<ScoredPair> ComparisonEngine::CompareMatricesParallel(
-    const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    size_t num_threads) const {
-  WorkStealingScheduler scheduler(num_threads);
-  return CompareMatricesParallel(a_matrix, b_matrix, candidates, min_score, scheduler);
-}
-
-std::vector<ScoredPair> ComparisonEngine::CompareMatricesParallel(
-    const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    WorkStealingScheduler& scheduler) const {
-  assert(measure_.has_value());
-  const size_t n = candidates.size();
-  const size_t chunk = ChunkSizeFor(n, scheduler.num_threads());
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  // Chunk stats live on the worker's stack and fold into the shared
-  // atomics once per chunk; the old per-chunk stats array put four
-  // counters on each cache line and every scored pair bounced them
-  // between cores (the "t8 slower than t1" regression).
-  std::atomic<size_t> pruned_total{0};
-  TaskGroup group(scheduler);
-  last_comparisons_.store(n, std::memory_order_relaxed);
+void RecordStreamCompare(size_t comparisons, size_t pruned) {
   Metrics().kernel_parallel_calls.Increment();
-  Metrics().pairs.Increment(n);
-  if (WorthTiling(a_matrix, b_matrix)) {
-    const std::vector<KernelPair> pairs = TiledPairs(candidates);
-    std::vector<std::vector<SlottedScore>> buffers(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t begin = c * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      group.Submit([this, &a_matrix, &b_matrix, &pairs, &buffers, &pruned_total, c,
-                        begin, end, min_score] {
-        CompareKernelStats stats;
-        std::vector<SlottedScore> hits;
-        hits.reserve(end - begin);
-        CompareKernel(*measure_, a_matrix, b_matrix, pairs.data() + begin, end - begin,
-                      min_score, hits, stats);
-        buffers[c] = std::move(hits);
-        pruned_total.fetch_add(stats.pruned, std::memory_order_relaxed);
-      });
-    }
-    group.Wait();
-    const size_t pruned = pruned_total.load(std::memory_order_relaxed);
-    last_pruned_.store(pruned, std::memory_order_relaxed);
-    Metrics().pruned.Increment(pruned);
-    return EmitInCandidateOrder(MergeChunks(buffers), candidates);
-  }
-  // Untiled chunks cover ascending candidate ranges and emit finished
-  // ScoredPairs, so concatenating the buffers is already candidate order.
-  std::vector<std::vector<ScoredPair>> buffers(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([this, &a_matrix, &b_matrix, &candidates, &buffers, &pruned_total,
-                  c, begin, end, min_score] {
-      CompareKernelStats stats;
-      std::vector<ScoredPair> hits;
-      hits.reserve(end - begin);
-      CompareKernel(*measure_, a_matrix, b_matrix, candidates.data() + begin,
-                    end - begin, min_score, hits, stats);
-      buffers[c] = std::move(hits);
-      pruned_total.fetch_add(stats.pruned, std::memory_order_relaxed);
-    });
-  }
-  group.Wait();
-  const size_t pruned = pruned_total.load(std::memory_order_relaxed);
-  last_pruned_.store(pruned, std::memory_order_relaxed);
+  Metrics().pairs.Increment(comparisons);
   Metrics().pruned.Increment(pruned);
-  return MergeChunks(buffers);
 }
 
 std::vector<FieldwiseScoredPair> CompareFieldwise(

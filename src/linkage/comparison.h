@@ -9,7 +9,6 @@
 
 #include "common/bit_matrix.h"
 #include "common/bitvector.h"
-#include "common/thread_pool.h"
 #include "blocking/blocking.h"
 #include "linkage/compare_kernels.h"
 
@@ -56,34 +55,6 @@ class ComparisonEngine {
                                           const std::vector<CandidatePair>& candidates,
                                           double min_score = 0) const;
 
-  /// Multi-threaded variant for the parallel-PPRL experiments; results are
-  /// in candidate order, identical to Compare(). Spins up a scheduler for
-  /// this one call — callers with a long-lived scheduler (the daemon, the
-  /// streaming pipeline) should use the scheduler overload instead.
-  std::vector<ScoredPair> CompareParallel(const std::vector<BitVector>& a_filters,
-                                          const std::vector<BitVector>& b_filters,
-                                          const std::vector<CandidatePair>& candidates,
-                                          double min_score, size_t num_threads) const;
-
-  /// Same, sharing `scheduler`'s workers (no per-call thread spawn).
-  std::vector<ScoredPair> CompareParallel(const std::vector<BitVector>& a_filters,
-                                          const std::vector<BitVector>& b_filters,
-                                          const std::vector<CandidatePair>& candidates,
-                                          double min_score,
-                                          WorkStealingScheduler& scheduler) const;
-
-  /// Matrix variant of CompareParallel(); measure-constructed engines only.
-  std::vector<ScoredPair> CompareMatricesParallel(
-      const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-      const std::vector<CandidatePair>& candidates, double min_score,
-      size_t num_threads) const;
-
-  /// Same, sharing `scheduler`'s workers; measure-constructed engines only.
-  std::vector<ScoredPair> CompareMatricesParallel(
-      const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-      const std::vector<CandidatePair>& candidates, double min_score,
-      WorkStealingScheduler& scheduler) const;
-
   /// Candidate pairs evaluated (attempted) by the last Compare*() call,
   /// whether by the word loop or by the cardinality bound. Counters are
   /// atomic so one engine may serve concurrent sessions; under concurrent
@@ -107,6 +78,12 @@ class ComparisonEngine {
   mutable std::atomic<size_t> last_comparisons_{0};
   mutable std::atomic<size_t> last_pruned_{0};
 };
+
+/// Adds one streaming compare run (linkage/parallel_linkage.h) to the
+/// process-wide comparison counters that Compare*() feed, under the
+/// `kernel-parallel` dispatch path — so pprl_compare_pairs_total counts
+/// every batch link, whichever path scored it.
+void RecordStreamCompare(size_t comparisons, size_t pruned);
 
 /// Per-field similarity vectors for multi-attribute classifiers: one
 /// encoded filter per field per record.

@@ -11,6 +11,7 @@
 #include "common/cache_info.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "linkage/comparison.h"
 #include "obs/metrics.h"
 
 namespace pprl {
@@ -244,6 +245,15 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
   return t;
 }
 
+WorkStealingScheduler::Options CompareSchedulerOptions(size_t num_threads) {
+  ParallelLinkageOptions options;
+  options.num_threads = num_threads;
+  // The window depends on the worker count only, not on the filter width.
+  const ResolvedParallelTuning tuning =
+      ResolveParallelTuning(options, /*bits_per_row=*/0);
+  return {tuning.num_threads, tuning.max_pending_shards};
+}
+
 StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const BitMatrix& a_matrix,
                                         const BitMatrix& b_matrix, double min_score,
@@ -258,10 +268,8 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
   std::optional<WorkStealingScheduler> owned;
   WorkStealingScheduler* scheduler = options.scheduler;
   if (scheduler == nullptr) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = tuning.num_threads;
-    sched_options.max_pending = tuning.max_pending_shards;
-    owned.emplace(sched_options);
+    owned.emplace(
+        WorkStealingScheduler::Options{tuning.num_threads, tuning.max_pending_shards});
     scheduler = &*owned;
   }
 
@@ -274,25 +282,13 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
     // are bounded by the scheduler's max_pending plus one per worker.
     group.Submit([&a_matrix, &b_matrix, measure, min_score, slot, tuning,
                   shard = std::move(shard)] {
-      if (!shard.runs.empty()) {
-        RunTiledShard(measure, a_matrix, b_matrix, min_score, tuning, shard, slot);
-        return;
-      }
-      // Materialized pair shards (generic producers, arbitrary pair
-      // order): score in place, untiled — candidate order is whatever the
-      // producer emitted, so no sort may be applied.
-      CompareKernelStats stats;
-      slot->hits.reserve(shard.pairs.size() / 16);
-      CompareKernel(measure, a_matrix, b_matrix, shard.pairs.data(),
-                    shard.pairs.size(), min_score, slot->hits, stats);
-      slot->comparisons = shard.pairs.size();
-      slot->pruned = stats.pruned;
+      RunTiledShard(measure, a_matrix, b_matrix, min_score, tuning, shard, slot);
     });
   });
   group.Wait();
 
   // Shards were emitted in global candidate order and slots sit in emission
-  // order, so concatenation restores the serial output exactly.
+  // order, so concatenation restores candidate order exactly.
   StreamCompareResult result;
   size_t total_hits = 0;
   for (const ShardSlot& slot : slots) total_hits += slot.hits.size();
@@ -303,6 +299,7 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
     result.pruned += slot.pruned;
     slot.hits = {};
   }
+  RecordStreamCompare(result.comparisons, result.pruned);
   return result;
 }
 

@@ -12,12 +12,13 @@
 
 namespace pprl {
 
-/// The end-to-end parallel execution path (survey §3.4 "Parallel/distributed
-/// processing"): blocking streams candidate shards into a bounded window, a
-/// work-stealing scheduler scores them on every core, and per-shard result
-/// buffers merge back in shard order — so the output is byte-identical to
-/// the serial pipeline at any thread count while peak memory stays
-/// O(window), not O(candidates).
+/// The batch compare path (survey §3.4 "Parallel/distributed processing"):
+/// blocking streams candidate shards into a bounded window, a work-stealing
+/// scheduler scores them on its workers (one or many), and per-shard
+/// result buffers merge back in shard order — so
+/// the output is byte-identical to materializing the candidates and
+/// scoring them with ComparisonEngine::Compare, at any thread count, while
+/// peak memory stays O(window), not O(candidates).
 ///
 /// Workers execute run shards cache-blocked: a shard's candidates are
 /// bucketed into (a-row-tile, b-row-tile) tiles sized so a tile's B rows
@@ -82,6 +83,12 @@ struct ResolvedParallelTuning {
 ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& options,
                                              size_t bits_per_row);
 
+/// The worker count and shard window of a scheduler that runs streaming
+/// compares with `num_threads` workers — what StreamCompareShards builds
+/// for itself when no scheduler is borrowed, for callers that keep one
+/// across calls (the daemon, LinkageUnitService::Link).
+WorkStealingScheduler::Options CompareSchedulerOptions(size_t num_threads);
+
 /// What a streaming comparison run produced.
 struct StreamCompareResult {
   /// Pairs scoring >= min_score, in the global candidate order (identical
@@ -93,22 +100,24 @@ struct StreamCompareResult {
   size_t pruned = 0;
 };
 
-/// A producer that drives any candidate stream (StreamBlockedPairRuns,
-/// StreamFullPairRuns, the materializing variants, a custom generator)
+/// A producer that drives a run-shard stream (StreamBlockedPairRuns,
+/// StreamFullPairRuns, or a custom generator honouring the same contract)
 /// into the consumer callback. It runs on the calling thread and blocks
 /// inside `emit` when the shard window is full.
 using ShardProducer = std::function<void(const CandidateShardFn& emit)>;
 
-/// Runs `produce`'s candidate stream through the comparison kernels on a
-/// work-stealing scheduler. Shard results land in per-shard buffers and are
-/// concatenated in shard order after the last shard finishes, so `hits` is
-/// deterministic for every (options.num_threads, scheduler) choice.
+/// The one batch compare path: runs `produce`'s candidate stream through
+/// the comparison kernels on a work-stealing scheduler, at every thread
+/// count (one worker included). Shard results land in per-shard buffers
+/// and are concatenated in shard order after the last shard finishes, so
+/// `hits` is deterministic for every (options.num_threads, scheduler)
+/// choice. Each call adds its totals to pprl_compare_pairs_total and
+/// pprl_compare_pairs_pruned_total.
 ///
-/// Run shards (CandidateShard::runs) take the cache-blocked tiled path;
-/// their expanded candidate sequence must be ascending (a, b) within the
-/// shard — which every Stream*PairRuns producer guarantees — so hits can
-/// be restored to candidate order by an (a, b) sort. Materialized pair
-/// shards may use any order and are scored in place, untiled.
+/// Shards execute cache-blocked; each shard's expanded candidate sequence
+/// must be ascending (a, b) — which every Stream*PairRuns producer
+/// guarantees — so hits can be restored to candidate order by an (a, b)
+/// sort.
 StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const BitMatrix& a_matrix,
                                         const BitMatrix& b_matrix, double min_score,

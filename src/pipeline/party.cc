@@ -122,50 +122,34 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
   }
   block_span.Stop();
 
-  // Parallel runs either borrow the caller's scheduler (the daemon shares
-  // one across sessions) or spin one up for this Link() call.
-  const bool parallel = options.scheduler != nullptr || options.num_threads > 1;
+  // Candidates stream through StreamCompareShards on the caller's
+  // scheduler (the daemon shares one across sessions) or on one spun up
+  // for this Link() call.
   std::optional<WorkStealingScheduler> owned_scheduler;
   WorkStealingScheduler* scheduler = options.scheduler;
-  if (parallel && scheduler == nullptr) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = options.num_threads;
-    sched_options.max_pending = 64;
-    owned_scheduler.emplace(sched_options);
+  if (scheduler == nullptr) {
+    owned_scheduler.emplace(CompareSchedulerOptions(options.num_threads));
     scheduler = &*owned_scheduler;
   }
+  ParallelLinkageOptions parallel_options;
+  parallel_options.scheduler = scheduler;
 
   // The kernel's min_score sits 2e-12 under the acceptance test below, so
   // cardinality pruning can never skip a pair that `dice + 1e-12 >=
   // threshold` would have kept; the final filter reproduces the exact
-  // tolerance semantics of the scalar path. The streaming branch scores the
-  // same pairs in the same order with the same kernel, so edges are
-  // identical at any worker count.
-  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  // tolerance semantics of the scalar path. Shards score the pairs in
+  // candidate order with the same kernel, so edges are identical at any
+  // worker count.
   obs::StageTimer compare_span("compare");
   for (uint32_t d1 = 0; d1 < databases_.size(); ++d1) {
     for (uint32_t d2 = d1 + 1; d2 < databases_.size(); ++d2) {
-      std::vector<ScoredPair> scored;
-      if (parallel) {
-        ParallelLinkageOptions parallel_options;
-        parallel_options.scheduler = scheduler;
-        StreamCompareResult streamed = StreamCompareBlocked(
-            SimilarityMeasure::kDice, matrices[d1], matrices[d2], indexes[d1],
-            indexes[d2], options.dice_threshold - 2e-12, parallel_options);
-        result.candidate_pairs += streamed.comparisons;
-        result.comparisons += streamed.comparisons;
-        result.pruned_comparisons += streamed.pruned;
-        scored = std::move(streamed.hits);
-      } else {
-        const auto candidates =
-            HammingLshBlocker::CandidatePairs(indexes[d1], indexes[d2]);
-        result.candidate_pairs += candidates.size();
-        scored = engine.CompareMatrices(matrices[d1], matrices[d2], candidates,
-                                        options.dice_threshold - 2e-12);
-        result.comparisons += engine.last_comparison_count();
-        result.pruned_comparisons += engine.last_pruned_count();
-      }
-      for (const ScoredPair& pair : scored) {
+      const StreamCompareResult streamed = StreamCompareBlocked(
+          SimilarityMeasure::kDice, matrices[d1], matrices[d2], indexes[d1],
+          indexes[d2], options.dice_threshold - 2e-12, parallel_options);
+      result.candidate_pairs += streamed.comparisons;
+      result.comparisons += streamed.comparisons;
+      result.pruned_comparisons += streamed.pruned;
+      for (const ScoredPair& pair : streamed.hits) {
         if (pair.score + 1e-12 >= options.dice_threshold) {
           result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
         }
@@ -176,7 +160,7 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
   obs::StageTimer cluster_span("cluster");
   if (options.use_star_clustering) {
     result.clusters = StarClustering(result.edges);
-  } else if (parallel) {
+  } else if (options.scheduler != nullptr || options.num_threads > 1) {
     result.clusters = ParallelConnectedComponents(result.edges, *scheduler);
   } else {
     result.clusters = ConnectedComponents(result.edges);

@@ -78,9 +78,9 @@ struct MultiPartyLinkageOptions {
   /// If true, clusters come from star clustering; else connected components.
   bool use_star_clustering = true;
   /// Workers for the comparison (and, for connected components, the union)
-  /// stages. 1 keeps the serial path; >1 streams each database pair's
-  /// candidates through a work-stealing scheduler. Results are identical at
-  /// any worker count.
+  /// stages. Each database pair's candidates stream through a
+  /// work-stealing scheduler with this many workers; >1 also runs the
+  /// parallel union-find. Results are identical at any worker count.
   size_t num_threads = 1;
   /// Borrowed long-lived scheduler (e.g. the daemon's, shared across
   /// concurrent sessions). Overrides num_threads when set.

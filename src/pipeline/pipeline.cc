@@ -6,7 +6,6 @@
 #include "blocking/lsh_blocking.h"
 #include "eval/quality_estimation.h"
 #include "encoding/hardening.h"
-#include "common/thread_pool.h"
 #include "linkage/classifier.h"
 #include "linkage/matching.h"
 #include "linkage/parallel_linkage.h"
@@ -125,18 +124,15 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   }
 
   // --- Blocking. ------------------------------------------------------------
-  // With num_threads > 1 the indexes are built here but candidate pairs are
-  // never materialized: the comparison stage below streams them in shards
-  // (blocking/blocking.h) straight into the scheduler. The pair order — and
-  // hence the matches — is identical either way.
-  const bool streaming = config_.num_threads > 1;
+  // Only the indexes are built here. Candidate pairs are never
+  // materialized: the comparison stage below streams them in run shards
+  // (blocking/blocking.h) straight into the scheduler, so candidate
+  // generation is timed with the comparisons.
   obs::StageTimer block_span("block");
-  std::vector<CandidatePair> candidates;
   BlockIndex index_a;
   BlockIndex index_b;
   switch (config_.blocking) {
     case BlockingScheme::kNone:
-      if (!streaming) candidates = FullPairs(a.records.size(), b.records.size());
       break;
     case BlockingScheme::kSoundex: {
       const StandardBlocker blocker(SoundexNameKey(config_.secret_key));
@@ -148,7 +144,6 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
         channel.Send("party-a", "lu-block", a.records.size() * 16, "blocking-keys");
         channel.Send("party-b", "lu-block", b.records.size() * 16, "blocking-keys");
       }
-      if (!streaming) candidates = StandardBlocker::CandidatePairs(index_a, index_b);
       break;
     }
     case BlockingScheme::kHammingLsh: {
@@ -165,7 +160,6 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
       }
       index_a = blocker.BuildIndex(fa);
       index_b = blocker.BuildIndex(fb);
-      if (!streaming) candidates = HammingLshBlocker::CandidatePairs(index_a, index_b);
       break;
     }
   }
@@ -176,8 +170,9 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   // scores are bitwise identical to DiceSimilarity(), and pairs whose
   // cardinality bound already falls below the threshold skip the word loop.
   obs::StageTimer compare_span("compare");
-  std::vector<ScoredPair> scored;
-  if (streaming) {
+  StreamCompareResult streamed;
+  {
+    // Scoped so the packed matrices are freed before classification.
     ParallelLinkageOptions parallel_options;
     parallel_options.num_threads = config_.num_threads;
     const BitMatrix ma = BitMatrix::FromVectors(fa);
@@ -187,7 +182,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     // values internally (same options, same filter width).
     const ResolvedParallelTuning tuning =
         ResolveParallelTuning(parallel_options, ma.num_bits());
-    StreamCompareResult streamed = StreamCompareShards(
+    streamed = StreamCompareShards(
         SimilarityMeasure::kDice, ma, mb, config_.match_threshold, parallel_options,
         [&](const CandidateShardFn& emit) {
           if (config_.blocking == BlockingScheme::kNone) {
@@ -197,17 +192,10 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
             StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
           }
         });
-    scored = std::move(streamed.hits);
-    out.comparisons = streamed.comparisons;
-    out.pruned_comparisons = streamed.pruned;
-    out.candidate_pairs = streamed.comparisons;
-  } else {
-    const ComparisonEngine engine(SimilarityMeasure::kDice);
-    scored = engine.Compare(fa, fb, candidates, config_.match_threshold);
-    out.comparisons = engine.last_comparison_count();
-    out.pruned_comparisons = engine.last_pruned_count();
-    out.candidate_pairs = candidates.size();
   }
+  out.comparisons = streamed.comparisons;
+  out.pruned_comparisons = streamed.pruned;
+  out.candidate_pairs = streamed.comparisons;
   if (config_.model == LinkageModel::kDualLinkageUnit) {
     channel.Send("lu-block", matcher, out.candidate_pairs * 8, "candidate-pairs");
   }
@@ -219,7 +207,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
 
   obs::StageTimer classify_span("classify");
   const ThresholdClassifier classifier(config_.match_threshold, config_.match_threshold);
-  std::vector<ScoredPair> matches = classifier.SelectMatches(scored);
+  std::vector<ScoredPair> matches = classifier.SelectMatches(streamed.hits);
   if (config_.one_to_one) matches = GreedyOneToOne(std::move(matches));
   // compare_seconds keeps its historical meaning: comparison + classification.
   out.compare_seconds = compare_seconds + classify_span.Stop();

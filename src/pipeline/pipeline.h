@@ -57,10 +57,10 @@ struct PipelineConfig {
   bool one_to_one = true;                   ///< de-duplicated databases
 
   // --- execution ------------------------------------------------------------
-  /// Workers for the comparison/classification stages. 1 keeps the serial
-  /// path; >1 streams candidate shards from blocking into a work-stealing
-  /// scheduler (linkage/parallel_linkage.h). Matches are identical at any
-  /// thread count.
+  /// Workers for the comparison stage: candidate shards stream from
+  /// blocking into a work-stealing scheduler with this many workers
+  /// (linkage/parallel_linkage.h), one included. Matches are identical at
+  /// any thread count.
   size_t num_threads = 1;
 
   // --- protocol ------------------------------------------------------------

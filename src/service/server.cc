@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/logging.h"
+#include "linkage/parallel_linkage.h"
 #include "net/frame.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -183,10 +184,9 @@ Status LinkageUnitServer::Start() {
   // so a full pool can never starve a resumed session of a handler.
   pool_ = std::make_unique<ThreadPool>(max_sessions() + config_.extra_threads);
   if (config_.link_threads > 1) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = config_.link_threads;
-    sched_options.max_pending = 64;
-    link_scheduler_ = std::make_unique<WorkStealingScheduler>(sched_options);
+    // The same workers and shard window pprl_linkd prints.
+    link_scheduler_ = std::make_unique<WorkStealingScheduler>(
+        CompareSchedulerOptions(config_.link_threads));
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   PPRL_LOG(kInfo) << "linkage unit '" << config_.name << "' listening on port "

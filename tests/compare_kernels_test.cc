@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "linkage/comparison.h"
+#include "linkage/parallel_linkage.h"
 #include "similarity/similarity.h"
 
 namespace pprl {
@@ -155,33 +157,25 @@ TEST(CompareKernelsTest, PruningFiresAtHighThresholds) {
   for (size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(expected[i], kept[i]);
 }
 
-TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
-  Rng rng(23);
-  const auto fa = RandomFilters(50, 127, rng);
-  const auto fb = RandomFilters(50, 127, rng);
-  const auto candidates = AllPairs(fa.size(), fb.size());
-  for (const SimilarityMeasure m : kAllMeasures) {
-    const ComparisonEngine kernel(m);
-    const auto sequential = kernel.Compare(fa, fb, candidates, 0.6);
-    const size_t sequential_pruned = kernel.last_pruned_count();
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const auto parallel = kernel.CompareParallel(fa, fb, candidates, 0.6, threads);
-      ASSERT_EQ(sequential.size(), parallel.size())
-          << SimilarityMeasureName(m) << " threads=" << threads;
-      for (size_t i = 0; i < sequential.size(); ++i) {
-        EXPECT_EQ(sequential[i], parallel[i]);
-      }
-      EXPECT_EQ(kernel.last_comparison_count(), candidates.size());
-      EXPECT_EQ(kernel.last_pruned_count(), sequential_pruned);
-    }
-  }
+/// Streams the full cross product of `ma` x `mb` through the batch
+/// compare path (run shards on a work-stealing scheduler).
+StreamCompareResult StreamAllPairs(SimilarityMeasure measure, const BitMatrix& ma,
+                                   const BitMatrix& mb, double min_score,
+                                   const ParallelLinkageOptions& options) {
+  const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
+  return StreamCompareShards(measure, ma, mb, min_score, options,
+                             [&](const CandidateShardFn& emit) {
+                               StreamFullPairRuns(ma.num_rows(), mb.num_rows(),
+                                                  shard_size, emit);
+                             });
 }
 
-/// Thresholded runs through the Dice fast path (division-free band tests,
-/// dense-run vectorization) and the chunked parallel engine: scores, kept
-/// pairs, order, and the pruned/comparison accounting must all be
-/// identical to the sequential kernel at every thread count.
-TEST(CompareKernelsTest, ThresholdedParallelAccountingMatchesSequential) {
+/// Thresholded runs through every measure's kernel (for Dice: the
+/// division-free band tests and dense-run vectorization) on the streaming
+/// compare path: scores, kept pairs, order, and the pruned/comparison
+/// accounting must all be identical to the sequential kernel at every
+/// thread count, with several shards per call.
+TEST(CompareKernelsTest, StreamedAccountingMatchesSequentialKernel) {
   Rng rng(31);
   for (const size_t bits : {size_t{127}, size_t{500}}) {
     const auto fa = RandomFilters(64, bits, rng);
@@ -189,31 +183,37 @@ TEST(CompareKernelsTest, ThresholdedParallelAccountingMatchesSequential) {
     const auto candidates = AllPairs(fa.size(), fb.size());
     const BitMatrix ma = BitMatrix::FromVectors(fa);
     const BitMatrix mb = BitMatrix::FromVectors(fb);
-    const ComparisonEngine kernel(SimilarityMeasure::kDice);
-    for (const double min_score : {0.5, 0.7, 0.85, 0.95}) {
-      const auto sequential = kernel.CompareMatrices(ma, mb, candidates, min_score);
-      const size_t sequential_pruned = kernel.last_pruned_count();
-      for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        const auto parallel =
-            kernel.CompareMatricesParallel(ma, mb, candidates, min_score, threads);
-        ASSERT_EQ(sequential.size(), parallel.size())
-            << "bits=" << bits << " min=" << min_score << " threads=" << threads;
-        for (size_t i = 0; i < sequential.size(); ++i) {
-          EXPECT_EQ(sequential[i], parallel[i]);
+    for (const SimilarityMeasure m : kAllMeasures) {
+      const ComparisonEngine kernel(m);
+      for (const double min_score : {0.5, 0.7, 0.85, 0.95}) {
+        const auto sequential = kernel.CompareMatrices(ma, mb, candidates, min_score);
+        const size_t sequential_pruned = kernel.last_pruned_count();
+        for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+          ParallelLinkageOptions options;
+          options.num_threads = threads;
+          options.shard_size = 1024;
+          const StreamCompareResult streamed =
+              StreamAllPairs(m, ma, mb, min_score, options);
+          const std::string label = std::string(SimilarityMeasureName(m)) +
+                                    " bits=" + std::to_string(bits) +
+                                    " min=" + std::to_string(min_score) +
+                                    " threads=" + std::to_string(threads);
+          ASSERT_EQ(sequential.size(), streamed.hits.size()) << label;
+          for (size_t i = 0; i < sequential.size(); ++i) {
+            EXPECT_EQ(sequential[i], streamed.hits[i]) << label;
+          }
+          EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
+          EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
         }
-        EXPECT_EQ(kernel.last_comparison_count(), candidates.size())
-            << "bits=" << bits << " min=" << min_score << " threads=" << threads;
-        EXPECT_EQ(kernel.last_pruned_count(), sequential_pruned)
-            << "bits=" << bits << " min=" << min_score << " threads=" << threads;
       }
     }
   }
 }
 
-/// One engine, one shared scheduler, several callers at once — the shape
-/// the daemon runs. Every caller must get its own correct result while
-/// the counters, being per-engine, settle to some completed call's totals.
-TEST(CompareKernelsTest, ConcurrentCallersShareEngineAndScheduler) {
+/// Several callers streaming through one shared scheduler at once — the
+/// shape the daemon runs, one caller per session. Every caller must get
+/// its own correct result and accounting.
+TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
   Rng rng(37);
   const auto fa = RandomFilters(48, 500, rng);
   const auto fb = RandomFilters(48, 500, rng);
@@ -225,24 +225,27 @@ TEST(CompareKernelsTest, ConcurrentCallersShareEngineAndScheduler) {
   const size_t expected_pruned = kernel.last_pruned_count();
 
   WorkStealingScheduler scheduler(4);
+  ParallelLinkageOptions options;
+  options.scheduler = &scheduler;
+  options.shard_size = 1024;
   constexpr int kCallers = 4;
-  std::vector<std::vector<ScoredPair>> results(kCallers);
+  std::vector<StreamCompareResult> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      results[t] = kernel.CompareMatricesParallel(ma, mb, candidates, 0.7, scheduler);
+      results[t] = StreamAllPairs(SimilarityMeasure::kDice, ma, mb, 0.7, options);
     });
   }
   for (auto& c : callers) c.join();
   for (int t = 0; t < kCallers; ++t) {
-    ASSERT_EQ(expected.size(), results[t].size()) << "caller " << t;
+    ASSERT_EQ(expected.size(), results[t].hits.size()) << "caller " << t;
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i], results[t][i]) << "caller " << t << " pair " << i;
+      EXPECT_EQ(expected[i], results[t].hits[i]) << "caller " << t << " pair " << i;
     }
+    EXPECT_EQ(results[t].comparisons, candidates.size()) << "caller " << t;
+    EXPECT_EQ(results[t].pruned, expected_pruned) << "caller " << t;
   }
-  EXPECT_EQ(kernel.last_comparison_count(), candidates.size());
-  EXPECT_EQ(kernel.last_pruned_count(), expected_pruned);
 }
 
 TEST(CompareKernelsTest, ZeroLengthFiltersCompareDegenerate) {

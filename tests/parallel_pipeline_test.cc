@@ -1,7 +1,10 @@
-// Determinism of the parallel linkage path: the same datasets linked at
-// 1, 2 and 8 worker threads must produce byte-identical matches, edges
-// and clusters. Shard boundaries, steal order and merge timing may vary
-// freely underneath — none of it may reach the output.
+// Determinism of the batch compare path: the same datasets linked at 1, 2,
+// 4 and 8 worker threads must produce byte-identical matches, edges and
+// clusters — identical to a reference that materializes the candidate
+// pairs (CandidatePairs / FullPairs), scores them with
+// ComparisonEngine::Compare and classifies them with SelectMatches /
+// GreedyOneToOne. Shard boundaries, tile geometry, steal order and merge
+// timing may vary freely underneath — none of it may reach the output.
 
 #include <string>
 #include <vector>
@@ -9,13 +12,17 @@
 #include <gtest/gtest.h>
 
 #include "blocking/blocking.h"
+#include "blocking/lsh_blocking.h"
 #include "common/bit_matrix.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
 #include "linkage/classifier.h"
 #include "linkage/clustering.h"
+#include "linkage/comparison.h"
+#include "linkage/matching.h"
 #include "linkage/parallel_linkage.h"
+#include "obs/metrics.h"
 #include "pipeline/party.h"
 #include "pipeline/pipeline.h"
 
@@ -31,6 +38,35 @@ std::pair<Database, Database> OverlappingDatabases(size_t records_each) {
   auto dbs = gen.GenerateScenario(scenario);
   EXPECT_TRUE(dbs.ok());
   return {std::move((*dbs)[0]), std::move((*dbs)[1])};
+}
+
+/// PprlPipeline::Link's output for an unhardened two-party-LU config with
+/// Hamming-LSH or no blocking, rebuilt from the materializing functions.
+LinkageOutput MaterializedReference(const PipelineConfig& config, const Database& a,
+                                    const Database& b) {
+  const ClkEncoder encoder(config.bloom, PprlPipeline::DefaultFieldConfigs());
+  const std::vector<BitVector> fa = encoder.EncodeDatabase(a).value();
+  const std::vector<BitVector> fb = encoder.EncodeDatabase(b).value();
+  std::vector<CandidatePair> candidates;
+  if (config.blocking == BlockingScheme::kNone) {
+    candidates = FullPairs(fa.size(), fb.size());
+  } else {
+    Rng lsh_rng(config.seed);
+    const HammingLshBlocker blocker(fa[0].size(), config.lsh_tables,
+                                    config.lsh_bits_per_key, lsh_rng);
+    candidates = HammingLshBlocker::CandidatePairs(blocker.BuildIndex(fa),
+                                                   blocker.BuildIndex(fb));
+  }
+  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  const auto scored = engine.Compare(fa, fb, candidates, config.match_threshold);
+  LinkageOutput out;
+  out.candidate_pairs = candidates.size();
+  out.comparisons = engine.last_comparison_count();
+  out.pruned_comparisons = engine.last_pruned_count();
+  const ThresholdClassifier classifier(config.match_threshold, config.match_threshold);
+  out.matches = classifier.SelectMatches(scored);
+  if (config.one_to_one) out.matches = GreedyOneToOne(std::move(out.matches));
+  return out;
 }
 
 void ExpectSameOutput(const LinkageOutput& expected, const LinkageOutput& actual,
@@ -50,15 +86,14 @@ TEST(ParallelPipelineTest, MatchesIdenticalAtEveryThreadCount) {
   PipelineConfig config;
   config.bloom.num_bits = 500;
   config.match_threshold = 0.8;
-  const auto serial = PprlPipeline(config).Link(a, b);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  EXPECT_FALSE(serial->matches.empty());
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+  const LinkageOutput reference = MaterializedReference(config, a, b);
+  EXPECT_FALSE(reference.matches.empty());
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     PipelineConfig parallel_config = config;
     parallel_config.num_threads = threads;
-    const auto parallel = PprlPipeline(parallel_config).Link(a, b);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-    ExpectSameOutput(*serial, *parallel, threads);
+    const auto linked = PprlPipeline(parallel_config).Link(a, b);
+    ASSERT_TRUE(linked.ok()) << linked.status().message();
+    ExpectSameOutput(reference, *linked, threads);
   }
 }
 
@@ -68,19 +103,87 @@ TEST(ParallelPipelineTest, FullPairsBlockingAlsoDeterministic) {
   config.bloom.num_bits = 500;
   config.blocking = BlockingScheme::kNone;
   config.match_threshold = 0.8;
-  const auto serial = PprlPipeline(config).Link(a, b);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  for (const size_t threads : {size_t{2}, size_t{8}}) {
+  const LinkageOutput reference = MaterializedReference(config, a, b);
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     PipelineConfig parallel_config = config;
     parallel_config.num_threads = threads;
-    const auto parallel = PprlPipeline(parallel_config).Link(a, b);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-    ExpectSameOutput(*serial, *parallel, threads);
+    const auto linked = PprlPipeline(parallel_config).Link(a, b);
+    ASSERT_TRUE(linked.ok()) << linked.status().message();
+    ExpectSameOutput(reference, *linked, threads);
   }
 }
 
-/// The multi-party service path: serial Link() versus worker counts and a
-/// borrowed shared scheduler must agree on edges, clusters and counters.
+/// Current value of a counter series in the global registry (0 before
+/// its first registration).
+double CounterValue(const std::string& name, const obs::Labels& labels = {}) {
+  for (const obs::MetricSnapshot& m : obs::GlobalMetrics().Snapshot()) {
+    if (m.name == name && m.labels == labels) return m.value;
+  }
+  return 0;
+}
+
+/// Every batch link reports its comparisons to the operator's counters,
+/// whatever the thread count — the reuse-factor formula in
+/// docs/OBSERVABILITY.md divides by pprl_compare_pairs_total.
+TEST(ParallelPipelineTest, CompareCountersMatchLinkOutput) {
+  const auto [a, b] = OverlappingDatabases(200);
+  PipelineConfig config;
+  config.bloom.num_bits = 500;
+  const obs::Labels parallel_path = {{"path", "kernel-parallel"}};
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    config.num_threads = threads;
+    const double pairs_before = CounterValue("pprl_compare_pairs_total");
+    const double pruned_before = CounterValue("pprl_compare_pairs_pruned_total");
+    const double calls_before = CounterValue("pprl_compare_calls_total", parallel_path);
+    const auto linked = PprlPipeline(config).Link(a, b);
+    ASSERT_TRUE(linked.ok()) << linked.status().message();
+    EXPECT_GT(linked->comparisons, 0u);
+    EXPECT_EQ(CounterValue("pprl_compare_pairs_total") - pairs_before,
+              static_cast<double>(linked->comparisons))
+        << threads << " threads";
+    EXPECT_EQ(CounterValue("pprl_compare_pairs_pruned_total") - pruned_before,
+              static_cast<double>(linked->pruned_comparisons))
+        << threads << " threads";
+    EXPECT_EQ(CounterValue("pprl_compare_calls_total", parallel_path) - calls_before, 1.0)
+        << threads << " threads";
+  }
+}
+
+/// LinkageUnitService::Link's connected-components output rebuilt from the
+/// materializing functions: per database pair, CandidatePairs scored by
+/// ComparisonEngine::Compare with Link()'s threshold tolerance.
+MultiPartyLinkageResult MaterializedReference(const LinkageUnitService& unit,
+                                              const MultiPartyLinkageOptions& options) {
+  const std::vector<EncodedDatabase>& dbs = unit.databases();
+  Rng rng(options.lsh_seed);
+  const HammingLshBlocker blocker(dbs[0].filters[0].size(), options.lsh_tables,
+                                  options.lsh_bits_per_key, rng);
+  std::vector<BlockIndex> indexes;
+  for (const EncodedDatabase& db : dbs) indexes.push_back(blocker.BuildIndex(db.filters));
+  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  MultiPartyLinkageResult result;
+  for (uint32_t d1 = 0; d1 < dbs.size(); ++d1) {
+    for (uint32_t d2 = d1 + 1; d2 < dbs.size(); ++d2) {
+      const auto candidates = HammingLshBlocker::CandidatePairs(indexes[d1], indexes[d2]);
+      const auto scored = engine.Compare(dbs[d1].filters, dbs[d2].filters, candidates,
+                                         options.dice_threshold - 2e-12);
+      result.candidate_pairs += candidates.size();
+      result.comparisons += engine.last_comparison_count();
+      result.pruned_comparisons += engine.last_pruned_count();
+      for (const ScoredPair& pair : scored) {
+        if (pair.score + 1e-12 >= options.dice_threshold) {
+          result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
+        }
+      }
+    }
+  }
+  result.clusters = ConnectedComponents(result.edges);
+  return result;
+}
+
+/// The multi-party service path: every worker count and a borrowed shared
+/// scheduler must agree with the materialized reference on edges, clusters
+/// and counters.
 TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
   DataGenerator gen(GeneratorConfig{});
   LinkageScenarioConfig scenario;
@@ -106,26 +209,26 @@ TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
   MultiPartyLinkageOptions options;
   options.dice_threshold = 0.8;
   options.use_star_clustering = false;  // exercise parallel union-find
-  const auto serial = unit.Link(options);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  EXPECT_FALSE(serial->edges.empty());
+  const MultiPartyLinkageResult reference = MaterializedReference(unit, options);
+  EXPECT_FALSE(reference.edges.empty());
 
   auto expect_same = [&](const MultiPartyLinkageResult& actual, const std::string& label) {
-    ASSERT_EQ(serial->edges.size(), actual.edges.size()) << label;
-    for (size_t i = 0; i < serial->edges.size(); ++i) {
-      EXPECT_EQ(serial->edges[i].x, actual.edges[i].x) << label << ", edge " << i;
-      EXPECT_EQ(serial->edges[i].y, actual.edges[i].y) << label << ", edge " << i;
-      EXPECT_EQ(serial->edges[i].score, actual.edges[i].score) << label << ", edge " << i;
+    ASSERT_EQ(reference.edges.size(), actual.edges.size()) << label;
+    for (size_t i = 0; i < reference.edges.size(); ++i) {
+      EXPECT_EQ(reference.edges[i].x, actual.edges[i].x) << label << ", edge " << i;
+      EXPECT_EQ(reference.edges[i].y, actual.edges[i].y) << label << ", edge " << i;
+      EXPECT_EQ(reference.edges[i].score, actual.edges[i].score) << label << ", edge " << i;
     }
-    ASSERT_EQ(serial->clusters.size(), actual.clusters.size()) << label;
-    for (size_t i = 0; i < serial->clusters.size(); ++i) {
-      EXPECT_EQ(serial->clusters[i], actual.clusters[i]) << label << ", cluster " << i;
+    ASSERT_EQ(reference.clusters.size(), actual.clusters.size()) << label;
+    for (size_t i = 0; i < reference.clusters.size(); ++i) {
+      EXPECT_EQ(reference.clusters[i], actual.clusters[i]) << label << ", cluster " << i;
     }
-    EXPECT_EQ(serial->comparisons, actual.comparisons) << label;
-    EXPECT_EQ(serial->pruned_comparisons, actual.pruned_comparisons) << label;
+    EXPECT_EQ(reference.candidate_pairs, actual.candidate_pairs) << label;
+    EXPECT_EQ(reference.comparisons, actual.comparisons) << label;
+    EXPECT_EQ(reference.pruned_comparisons, actual.pruned_comparisons) << label;
   };
 
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     MultiPartyLinkageOptions parallel_options = options;
     parallel_options.num_threads = threads;
     const auto parallel = unit.Link(parallel_options);
@@ -178,17 +281,18 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
     if (i >= mb.num_rows() / 2) index_b["k0"].push_back(i);
   }
 
-  ParallelLinkageOptions reference_options;
-  reference_options.num_threads = 1;
-  // 0.40 sits ~2.6 sigma above the mean Dice of independent 0.3-density
-  // filters: enough hits to make the equality assertions meaningful,
-  // rare enough that the prune and threshold paths stay exercised.
-  const StreamCompareResult reference = StreamCompareBlocked(
-      SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, reference_options);
-  ASSERT_FALSE(reference.hits.empty());
+  // The materialized reference. 0.40 sits ~2.6 sigma above the mean Dice
+  // of independent 0.3-density filters: enough hits to make the equality
+  // assertions meaningful, rare enough that the prune and threshold paths
+  // stay exercised.
+  const auto candidates = StandardBlocker::CandidatePairs(index_a, index_b);
+  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  const std::vector<ScoredPair> reference_hits =
+      engine.CompareMatrices(ma, mb, candidates, 0.40);
+  ASSERT_FALSE(reference_hits.empty());
   const auto reference_clusters = ConnectedComponents([&] {
     std::vector<MatchEdge> edges;
-    for (const ScoredPair& hit : reference.hits) {
+    for (const ScoredPair& hit : reference_hits) {
       edges.push_back({{0, hit.a}, {1, hit.b}, hit.score});
     }
     return edges;
@@ -217,12 +321,12 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
           SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, options);
       const std::string label =
           std::string(geometry.label) + " tiles, " + std::to_string(threads) + " threads";
-      ASSERT_EQ(reference.hits.size(), actual.hits.size()) << label;
-      for (size_t i = 0; i < reference.hits.size(); ++i) {
-        EXPECT_EQ(reference.hits[i], actual.hits[i]) << label << ", hit " << i;
+      ASSERT_EQ(reference_hits.size(), actual.hits.size()) << label;
+      for (size_t i = 0; i < reference_hits.size(); ++i) {
+        EXPECT_EQ(reference_hits[i], actual.hits[i]) << label << ", hit " << i;
       }
-      EXPECT_EQ(reference.comparisons, actual.comparisons) << label;
-      EXPECT_EQ(reference.pruned, actual.pruned) << label;
+      EXPECT_EQ(candidates.size(), actual.comparisons) << label;
+      EXPECT_EQ(engine.last_pruned_count(), actual.pruned) << label;
       std::vector<MatchEdge> edges;
       for (const ScoredPair& hit : actual.hits) {
         edges.push_back({{0, hit.a}, {1, hit.b}, hit.score});
@@ -280,26 +384,6 @@ TEST(ParallelClusteringTest, ConnectedComponentsParity) {
     ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, cluster " << i;
-    }
-  }
-}
-
-TEST(ParallelClassifierTest, SelectMatchesParity) {
-  Rng rng(43);
-  std::vector<ScoredPair> scored;
-  scored.reserve(300000);
-  for (uint32_t i = 0; i < 300000; ++i) {
-    scored.push_back({i % 997, i % 991, rng.NextDouble()});
-  }
-  const ThresholdClassifier classifier(0.8, 0.8);
-  const auto serial = classifier.SelectMatches(scored);
-  ASSERT_FALSE(serial.empty());
-  for (const size_t threads : {size_t{2}, size_t{8}}) {
-    WorkStealingScheduler scheduler(threads);
-    const auto parallel = classifier.ParallelSelectMatches(scored, scheduler);
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, pair " << i;
     }
   }
 }
